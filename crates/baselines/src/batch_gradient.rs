@@ -14,7 +14,7 @@
 //! applies them in one step.
 
 use dimmwitted::AnalyticsTask;
-use dw_optim::{AtomicModel, ConvergenceTrace, ModelAccess};
+use dw_optim::{AtomicModel, ConvergenceTrace};
 
 /// Run `epochs` of batch gradient descent on `task`; returns the per-epoch
 /// loss trace (time is filled in by the caller from the hardware model).

@@ -3,7 +3,10 @@
 //! The DimmWitted thesis is that execution *policy* (which tradeoff-space
 //! point to run) must be navigable at runtime; this module decouples policy
 //! from *mechanism* by putting the thing that actually runs one epoch behind
-//! the [`Executor`] trait.  Three mechanisms are provided:
+//! the [`Executor`] trait.  Three mechanisms are provided; they differ in
+//! *who* runs a worker's item list and when, and share the one loop that
+//! walks it (`run_items`: step item *k* with item *k+1*'s slices already
+//! hinted into cache):
 //!
 //! * [`InterleavedExecutor`] — deterministic round-robin interleaving of
 //!   virtual workers in a single thread.  Reproducible, and preserves the
@@ -22,18 +25,23 @@
 
 use crate::data_replica::DataReplicaSet;
 use crate::plan::{EpochAssignment, ExecutionPlan};
-use crate::pool::WorkerPool;
+use crate::pool::{paced_interval, WorkerPool};
 use crate::replication::ModelReplication;
 use crate::report::RunConfig;
 use crate::task::AnalyticsTask;
+use dw_matrix::kernels::prefetch_read;
+use dw_matrix::VecView;
 use dw_numa::MachineTopology;
-use dw_optim::{average_models, AtomicModel};
+use dw_optim::{average_models_into, AtomicModel, Objective, TaskData};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often the asynchronous PerNode averaging protocol wakes up
-/// ("as frequently as possible", Section 3.3).
+/// ("as frequently as possible", Section 3.3) while a round costs under a
+/// ninth of it; a costlier round stretches the wait that follows it
+/// ([`crate::pool::paced_interval`]) so the actor stays under a tenth of a
+/// core.
 const AVERAGING_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Everything an executor needs to run one epoch.
@@ -110,14 +118,119 @@ pub trait Executor: Send {
 
 /// Average a slice of reference-counted replicas into a plain vector.
 pub(crate) fn average_replicas(replicas: &[Arc<AtomicModel>]) -> Vec<f64> {
-    let refs: Vec<&AtomicModel> = replicas.iter().map(|r| r.as_ref()).collect();
-    average_models(&refs)
+    let mut averaged = Vec::new();
+    average_models_into(replicas, &mut averaged);
+    averaged
 }
 
-fn store_average(replicas: &[Arc<AtomicModel>]) {
-    let averaged = average_replicas(replicas);
+/// One averaging round: every replica is overwritten with the mean of all
+/// of them.  `sum` is the round's scratch, kept by the caller so an epoch
+/// of rounds allocates once.
+fn store_average(replicas: &[Arc<AtomicModel>], sum: &mut Vec<f64>) {
+    average_models_into(replicas, sum);
     for replica in replicas {
-        replica.store_vec(&averaged);
+        replica.store_vec(sum);
+    }
+}
+
+/// The one item loop every mechanism runs: step `items` in list order, and
+/// before stepping item *k* resolve item *k+1* and hand it to `lookahead`.
+/// The last item has no successor and issues none.
+#[inline]
+fn run_items<T: Copy>(
+    items: &[usize],
+    resolve: impl Fn(usize) -> T,
+    lookahead: impl Fn(T),
+    mut step: impl FnMut(T),
+) {
+    let mut upcoming = items.iter().map(|&item| resolve(item));
+    let Some(mut current) = upcoming.next() else {
+        return;
+    };
+    for next in upcoming {
+        lookahead(next);
+        step(current);
+        current = next;
+    }
+    step(current);
+}
+
+/// What one worker's updates read and write, fixed for the epoch.
+struct WorkerEpoch<'a> {
+    objective: &'a dyn Objective,
+    data: &'a DataReplicaSet,
+    /// The worker's locality group: which shard or copy its reads resolve
+    /// through, and which model replica it updates.
+    group: usize,
+    replica: &'a AtomicModel,
+    columnar: bool,
+    step: f64,
+}
+
+impl<'a> WorkerEpoch<'a> {
+    /// The updates of a worker in locality group `group`, borrowing
+    /// everything from the epoch's context.
+    fn of(ctx: &'a EpochContext<'_>, group: usize) -> Self {
+        WorkerEpoch {
+            objective: ctx.task.objective.as_ref(),
+            data: ctx.data,
+            group,
+            replica: ctx.replicas[group].as_ref(),
+            columnar: ctx.plan.access.is_columnar(),
+            step: ctx.step,
+        }
+    }
+
+    /// Run the worker's updates over `items`.
+    ///
+    /// Each item is read through the worker's locality group: a node-local
+    /// shard row, another group's shard (a remote read on a real machine),
+    /// or the shared full copy.  A shuffled deal makes every item a run of
+    /// cold lines nothing else looks ahead of, so the next item's row
+    /// (column, under columnar access) slices are hinted into cache while
+    /// the current one is stepped — a hint only, the step re-reads them.
+    fn run(&self, items: &[usize]) {
+        let (objective, replica, step) = (self.objective, self.replica, self.step);
+        let resolve = |item| {
+            let (shard, local, _) = self.data.resolve(self.group, item);
+            (shard, local)
+        };
+        let hint = |view: VecView<'_>| {
+            prefetch_read(view.indices);
+            prefetch_read(view.values);
+        };
+        // The access method is decided once per call, not once per item.
+        if self.columnar {
+            run_items(
+                items,
+                resolve,
+                |(shard, j): (&TaskData, usize)| hint(shard.col(j)),
+                |(shard, j)| objective.col_step(shard, j, replica, step),
+            );
+        } else {
+            run_items(
+                items,
+                resolve,
+                |(shard, i): (&TaskData, usize)| hint(shard.row(i)),
+                |(shard, i)| objective.row_step(shard, i, replica, step),
+            );
+        }
+    }
+
+    /// Run a threaded worker's whole list — the owned prefix, then the
+    /// `stolen_tail` items the rebalancing pass appended — clocking the two
+    /// pieces separately.  Returns `(busy_ns, steal_ns)`.
+    fn run_clocked(&self, items: &[usize], stolen_tail: usize) -> (u64, u64) {
+        let owned = items.len() - stolen_tail.min(items.len());
+        let clock = Instant::now();
+        self.run(&items[..owned]);
+        let owned_elapsed = clock.elapsed();
+        self.run(&items[owned..]);
+        let total = clock.elapsed();
+        (
+            total.as_nanos() as u64,
+            (total - owned_elapsed).as_nanos() as u64,
+        )
     }
 }
 
@@ -139,8 +252,7 @@ impl Executor for InterleavedExecutor {
 
     fn run_epoch(&mut self, ctx: &EpochContext<'_>) -> EpochTiming {
         let rounds = ctx.config.rounds_per_epoch.max(1);
-        let columnar = ctx.plan.access.is_columnar();
-        let task = ctx.task;
+        let mut sum = Vec::new();
         for round in 0..rounds {
             for worker in &ctx.assignment.workers {
                 let items = &worker.items;
@@ -153,18 +265,7 @@ impl Executor for InterleavedExecutor {
                     continue;
                 }
                 let end = (start + chunk).min(items.len());
-                let replica = ctx.replicas[worker.replica].as_ref();
-                for &item in &items[start..end] {
-                    // Read the item through the worker's locality group: a
-                    // node-local shard row, another group's shard (a remote
-                    // read on a real machine), or the shared full copy.
-                    let (data, local, _) = ctx.data.resolve(worker.replica, item);
-                    if columnar {
-                        task.objective.col_step(data, local, replica, ctx.step);
-                    } else {
-                        task.objective.row_step(data, local, replica, ctx.step);
-                    }
-                }
+                WorkerEpoch::of(ctx, worker.replica).run(&items[start..end]);
             }
             // Asynchronous PerNode averaging, approximated at round
             // granularity ("as frequently as possible", Section 3.3).
@@ -173,7 +274,7 @@ impl Executor for InterleavedExecutor {
                 && ctx.config.sync_every_rounds > 0
                 && (round + 1) % ctx.config.sync_every_rounds == 0;
             if should_sync {
-                store_average(ctx.replicas);
+                store_average(ctx.replicas, &mut sum);
             }
         }
         // Deterministic single-thread interleaving: wall-clock feedback
@@ -294,31 +395,23 @@ impl Executor for ThreadedExecutor {
             let objective = Arc::clone(&ctx.task.objective);
             let replica = Arc::clone(&ctx.replicas[worker.replica]);
             let items = Arc::clone(&staged[w]);
-            let stolen_tail = worker.stolen_tail.min(worker.items.len());
+            let stolen_tail = worker.stolen_tail;
             let steal_ns = Arc::clone(&steal_ns);
             let busy_ns = Arc::clone(&busy_ns);
             batch.dispatch(
                 w,
                 Box::new(move || {
-                    let run = |slice: &[usize]| {
-                        for &item in slice {
-                            let (shard, local, _) = data.resolve(group, item);
-                            if columnar {
-                                objective.col_step(shard, local, replica.as_ref(), step);
-                            } else {
-                                objective.row_step(shard, local, replica.as_ref(), step);
-                            }
-                        }
-                    };
-                    let clock = Instant::now();
-                    let owned = items.len() - stolen_tail;
-                    run(&items[..owned]);
-                    let owned_elapsed = clock.elapsed();
-                    run(&items[owned..]);
-                    let total = clock.elapsed();
-                    busy_ns[w].store(total.as_nanos() as u64, Ordering::Relaxed);
-                    steal_ns
-                        .fetch_add((total - owned_elapsed).as_nanos() as u64, Ordering::Relaxed);
+                    let (busy, steal) = WorkerEpoch {
+                        objective: objective.as_ref(),
+                        data: &data,
+                        group,
+                        replica: &replica,
+                        columnar,
+                        step,
+                    }
+                    .run_clocked(&items, stolen_tail);
+                    busy_ns[w].store(busy, Ordering::Relaxed);
+                    steal_ns.fetch_add(steal, Ordering::Relaxed);
                 }),
             );
         }
@@ -329,7 +422,8 @@ impl Executor for ThreadedExecutor {
         // workers, which is the deadlock the spawn-per-epoch path had.
         if ctx.plan.model_replication == ModelReplication::PerNode && ctx.replicas.len() > 1 {
             let replicas = ctx.replicas;
-            batch.wait_with(AVERAGING_INTERVAL, || store_average(replicas));
+            let mut sum = Vec::new();
+            batch.wait_with(AVERAGING_INTERVAL, || store_average(replicas, &mut sum));
         } else {
             batch.wait();
         }
@@ -373,7 +467,6 @@ impl Executor for SpawnPerEpochExecutor {
     }
 
     fn run_epoch(&mut self, ctx: &EpochContext<'_>) -> EpochTiming {
-        let columnar = ctx.plan.access.is_columnar();
         let total = ctx.assignment.workers.len();
         let completed = AtomicUsize::new(0);
         let steal_ns = AtomicU64::new(0);
@@ -383,45 +476,23 @@ impl Executor for SpawnPerEpochExecutor {
                 let replicas = ctx.replicas;
                 let completed = &completed;
                 scope.spawn(move || {
+                    let mut sum = Vec::new();
                     while completed.load(Ordering::Acquire) < total {
-                        store_average(replicas);
-                        std::thread::sleep(AVERAGING_INTERVAL);
+                        let clock = Instant::now();
+                        store_average(replicas, &mut sum);
+                        std::thread::sleep(paced_interval(AVERAGING_INTERVAL, clock.elapsed()));
                     }
                 });
             }
             for (w, worker) in ctx.assignment.workers.iter().enumerate() {
-                let task = ctx.task;
-                let data = ctx.data;
-                let group = worker.replica;
-                let replica = ctx.replicas[worker.replica].as_ref();
-                let items = &worker.items;
-                let stolen_tail = worker.stolen_tail.min(items.len());
-                let step = ctx.step;
+                let epoch = WorkerEpoch::of(ctx, worker.replica);
                 let completed = &completed;
                 let steal_ns = &steal_ns;
                 let busy = &busy_ns[w];
                 scope.spawn(move || {
-                    let run = |slice: &[usize]| {
-                        for &item in slice {
-                            let (shard, local, _) = data.resolve(group, item);
-                            if columnar {
-                                task.objective.col_step(shard, local, replica, step);
-                            } else {
-                                task.objective.row_step(shard, local, replica, step);
-                            }
-                        }
-                    };
-                    let clock = Instant::now();
-                    let owned = items.len() - stolen_tail;
-                    run(&items[..owned]);
-                    let owned_elapsed = clock.elapsed();
-                    run(&items[owned..]);
-                    let elapsed = clock.elapsed();
-                    busy.store(elapsed.as_nanos() as u64, Ordering::Relaxed);
-                    steal_ns.fetch_add(
-                        (elapsed - owned_elapsed).as_nanos() as u64,
-                        Ordering::Relaxed,
-                    );
+                    let (busy_total, steal) = epoch.run_clocked(&worker.items, worker.stolen_tail);
+                    busy.store(busy_total, Ordering::Relaxed);
+                    steal_ns.fetch_add(steal, Ordering::Relaxed);
                     completed.fetch_add(1, Ordering::Release);
                 });
             }
@@ -650,6 +721,90 @@ mod tests {
             step: task.objective.default_step(),
         };
         executor.run_epoch(&ctx)
+    }
+
+    #[test]
+    fn run_items_looks_one_item_ahead_and_never_past_the_end() {
+        use std::cell::RefCell;
+        // Resolve maps item -> item * 10 so the events show that lookahead
+        // and step both receive the *resolved* value.
+        let events = RefCell::new(Vec::new());
+        let record = |items: &[usize]| {
+            events.borrow_mut().clear();
+            run_items(
+                items,
+                |item| item * 10,
+                |next| events.borrow_mut().push(("ahead", next)),
+                |current| events.borrow_mut().push(("step", current)),
+            );
+            events.borrow().clone()
+        };
+        assert_eq!(
+            record(&[3, 1, 2]),
+            vec![
+                ("ahead", 10),
+                ("step", 30),
+                ("ahead", 20),
+                ("step", 10),
+                ("step", 20), // the last item issues no lookahead
+            ]
+        );
+        assert_eq!(record(&[7]), vec![("step", 70)]);
+        assert!(record(&[]).is_empty());
+    }
+
+    /// An objective that only records which rows it was asked to step.
+    struct RecordingObjective(std::sync::Mutex<Vec<usize>>);
+
+    impl Objective for RecordingObjective {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn full_loss(&self, _: &TaskData, _: &[f64]) -> f64 {
+            0.0
+        }
+        fn row_step(&self, _: &TaskData, i: usize, _: &AtomicModel, _: f64) {
+            self.0.lock().unwrap().push(i);
+        }
+        fn col_step(&self, _: &TaskData, j: usize, _: &AtomicModel, _: f64) {
+            self.0.lock().unwrap().push(j);
+        }
+    }
+
+    #[test]
+    fn clocked_run_visits_owned_prefix_then_stolen_tail_in_list_order() {
+        let (task, machine) = context_parts();
+        // Full references: every item resolves to itself, so the recorded
+        // rows are the item ids.
+        let plan = ExecutionPlan::new(
+            &machine,
+            AccessMethod::RowWise,
+            ModelReplication::PerNode,
+            DataReplication::FullReplication,
+        );
+        let data = crate::data_replica::DataReplicaSet::build(
+            &plan,
+            &machine,
+            dw_numa::PlacementPolicy::NumaAware,
+            &task,
+        );
+        let objective = RecordingObjective(Default::default());
+        let replica = AtomicModel::zeros(task.dim());
+        let items = [5usize, 0, 9, 2, 7, 1];
+        for (columnar, stolen_tail) in [(false, 2), (false, 0), (true, 6), (false, 99)] {
+            objective.0.lock().unwrap().clear();
+            let (busy, steal) = WorkerEpoch {
+                objective: &objective,
+                data: &data,
+                group: 1,
+                replica: &replica,
+                columnar,
+                step: 0.1,
+            }
+            .run_clocked(&items, stolen_tail);
+            assert_eq!(*objective.0.lock().unwrap(), items, "tail {stolen_tail}");
+            assert!(steal <= busy, "steal time is part of busy time");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A unit of work dispatched to one pool worker.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -173,6 +173,8 @@ impl WorkerPool {
     /// Like [`WorkerPool::wait`], but runs `between` on the calling thread
     /// whenever `interval` elapses without a completion — the hook the
     /// asynchronous PerNode model-averaging protocol (Section 3.3) runs in.
+    /// A hook costing more than `interval / 9` stretches the waits after it
+    /// so it never takes more than a tenth of the calling thread.
     pub fn wait_with<F: FnMut()>(&self, jobs: usize, interval: Duration, between: F) {
         let rx = self
             .default_done_rx
@@ -182,17 +184,36 @@ impl WorkerPool {
     }
 }
 
-/// Consume `jobs` acknowledgements from `rx`, running `between` on timeout.
+/// The wait that follows a `between` hook that took `cost`: at least
+/// `interval`, and long enough that the hook's duty cycle on the waiting
+/// thread stays at or under 10 % (`wait ≥ 9 · cost`).
+///
+/// A cheap hook keeps its cadence; an expensive one — averaging a 47 k-dim
+/// model every 200 µs on a host where the waiting thread shares cores with
+/// the workers it waits for — backs off instead of time-slicing against
+/// them and invalidating the replicas they are writing.
+pub(crate) fn paced_interval(interval: Duration, cost: Duration) -> Duration {
+    interval.max(cost * 9)
+}
+
+/// Consume `jobs` acknowledgements from `rx`, running `between` whenever a
+/// wait elapses without one; each wait is [`paced_interval`] of the hook
+/// run before it.
 fn drain_acks<F: FnMut()>(rx: &Receiver<bool>, jobs: usize, interval: Duration, mut between: F) {
     let mut remaining = jobs;
     let mut panicked = false;
+    let mut wait = interval;
     while remaining > 0 {
-        match rx.recv_timeout(interval) {
+        match rx.recv_timeout(wait) {
             Ok(job_panicked) => {
                 panicked |= job_panicked;
                 remaining -= 1;
             }
-            Err(RecvTimeoutError::Timeout) => between(),
+            Err(RecvTimeoutError::Timeout) => {
+                let clock = Instant::now();
+                between();
+                wait = paced_interval(interval, clock.elapsed());
+            }
             Err(RecvTimeoutError::Disconnected) => {
                 panic!("worker pool threads terminated unexpectedly")
             }
@@ -241,7 +262,8 @@ impl JobBatch<'_> {
     }
 
     /// Like [`JobBatch::wait`], but runs `between` on the calling thread
-    /// whenever `interval` elapses without a completion.
+    /// whenever `interval` elapses without a completion (duty-bounded as
+    /// [`WorkerPool::wait_with`]).
     pub fn wait_with<F: FnMut()>(&mut self, interval: Duration, between: F) {
         let jobs = std::mem::take(&mut self.outstanding);
         drain_acks(&self.done_rx, jobs, interval, between);
@@ -290,6 +312,60 @@ mod tests {
             hook_ticks.fetch_add(1, Ordering::Relaxed);
         });
         assert!(ticks.load(Ordering::Relaxed) >= 1, "hook must have run");
+    }
+
+    #[test]
+    fn paced_interval_keeps_a_cheap_hook_and_backs_off_a_costly_one() {
+        let base = Duration::from_micros(200);
+        assert_eq!(paced_interval(base, Duration::ZERO), base);
+        assert_eq!(paced_interval(base, Duration::from_micros(22)), base);
+        assert_eq!(
+            paced_interval(base, Duration::from_millis(1)),
+            Duration::from_millis(9)
+        );
+    }
+
+    /// Fire `hook` from a 200 µs `wait_with` across one 60 ms job; returns
+    /// how often it ran and how long the wait took.
+    fn hook_fires_across_a_60ms_job(hook: impl Fn()) -> (usize, Duration) {
+        let pool = WorkerPool::new(1);
+        let mut batch = pool.batch();
+        batch.dispatch(
+            0,
+            Box::new(|| std::thread::sleep(Duration::from_millis(60))),
+        );
+        let mut fires = 0usize;
+        let clock = Instant::now();
+        batch.wait_with(Duration::from_micros(200), || {
+            fires += 1;
+            hook();
+        });
+        (fires, clock.elapsed())
+    }
+
+    #[test]
+    fn costly_hook_is_held_to_a_tenth_of_the_waiting_thread() {
+        // A hook of >= 2 ms is followed by a wait of >= 18 ms, so one fire
+        // per 20 ms of the wait, plus the first (which follows the base
+        // interval).  Bounded against the measured wait, not a nominal
+        // 60 ms, so a slow host only loosens it.
+        let hook = Duration::from_millis(2);
+        let (fires, waited) = hook_fires_across_a_60ms_job(|| std::thread::sleep(hook));
+        let bound = waited.as_micros().div_ceil((hook * 10).as_micros()) as usize + 1;
+        assert!(fires >= 1, "the hook still runs");
+        assert!(
+            fires <= bound,
+            "{fires} fires in {waited:?} (bound {bound})"
+        );
+    }
+
+    #[test]
+    fn free_hook_keeps_the_base_cadence() {
+        // 60 ms at a 200 µs cadence is ~300 rounds; ten is a floor no
+        // scheduler hiccup reaches, while a pacer that backed off a free
+        // hook would.
+        let (fires, waited) = hook_fires_across_a_60ms_job(|| {});
+        assert!(fires >= 10, "{fires} fires in {waited:?}");
     }
 
     #[test]

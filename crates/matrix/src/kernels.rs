@@ -383,6 +383,45 @@ pub fn sum_of_squares(values: &[f64]) -> f64 {
     acc
 }
 
+/// Cache lines [`prefetch_read`] hints per slice: 1 KiB, i.e. 256 `u32`
+/// indices or 128 `f64` values.  A core keeps about a dozen line fills in
+/// flight, so hinting further into a long row only evicts the hints that
+/// would have landed; the hardware streamer takes over from there.
+#[cfg(target_arch = "x86_64")]
+const PREFETCH_LINE_CAP: usize = 16;
+
+/// Hint the cache that `slice` is about to be read: one read prefetch per
+/// 64-byte line, the first 16 lines (1 KiB) of it.
+///
+/// The epoch item loop calls this on the *next* item's index and value
+/// slices while it steps the current one, so a shuffled deal's serial run
+/// of cold row lines overlaps the arithmetic instead of following it.  It
+/// is a hint and nothing else: no byte is loaded, no page is faulted or
+/// pinned, no layout is built, and on targets without a prefetch
+/// instruction it compiles to nothing — so it can never move a trace.
+#[inline]
+pub fn prefetch_read<T>(slice: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let start = slice.as_ptr().cast::<i8>();
+        let lines = std::mem::size_of_val(slice)
+            .div_ceil(LINE)
+            .min(PREFETCH_LINE_CAP);
+        for line in 0..lines {
+            // SAFETY: `prefetcht0` never faults and never loads
+            // architecturally — an unmapped or non-resident address is
+            // dropped by the hardware — and every hinted address lies
+            // inside the borrowed `slice` (line * 64 < its byte length);
+            // the intrinsic is `unsafe` only for taking a raw pointer.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add(line * LINE)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = slice;
+}
+
 /// Reference gathered dot over a block-compressed index stream: single
 /// accumulator, strictly in stream order — **bit-identical** to
 /// [`dot_indexed`] over the decoded indices, so switching a plan's
@@ -508,6 +547,48 @@ mod tests {
     use super::*;
     use crate::encoding::BlockedIndices;
     use proptest::prelude::*;
+
+    #[test]
+    fn prefetch_read_accepts_any_slice_and_changes_nothing() {
+        // Empty (dangling pointer, zero lines), one element, and a slice
+        // far past the line cap spanning several pages.
+        prefetch_read::<f64>(&[]);
+        prefetch_read::<u32>(&[]);
+        prefetch_read(&[1.5f64]);
+        let long: Vec<u32> = (0..5 * 4096 / 4).collect();
+        let before = long.clone();
+        prefetch_read(&long);
+        prefetch_read(&long[long.len() - 1..]); // last line of the last page
+        assert_eq!(long, before);
+    }
+
+    #[test]
+    fn prefetch_read_faults_no_page_of_a_paged_matrix() {
+        use crate::{CooMatrix, DataMatrix, InMemorySource, RowAccess};
+        let mut coo = CooMatrix::new(64, 32);
+        for i in 0..64 {
+            for j in 0..8 {
+                coo.push(i, (i + 3 * j) % 32, 1.0 + j as f64).unwrap();
+            }
+        }
+        let m = DataMatrix::from_source(
+            std::sync::Arc::new(InMemorySource::from_coo(&coo, 256)),
+            1024,
+        );
+        m.materialize_rows();
+        m.release_pages();
+        let before = m.ooc_stats().expect("paged matrix has cache stats");
+        assert_eq!(before.resident_bytes, 0, "nothing resident in the cache");
+        for i in 0..64 {
+            let row = m.row(i);
+            prefetch_read(row.indices);
+            prefetch_read(row.values);
+        }
+        let after = m.ooc_stats().unwrap();
+        assert_eq!(after.faults, before.faults, "a hint must not fault pages");
+        assert_eq!(after.io_bytes, before.io_bytes);
+        assert_eq!(after.resident_bytes, 0);
+    }
 
     #[test]
     fn dot_indexed_matches_naive() {

@@ -4,7 +4,7 @@
 //! composes these per-worker loops into parallel execution plans; they are
 //! also used stand-alone by the reference solver and the baselines.
 
-use crate::model::ModelAccess;
+use crate::model::AtomicModel;
 use crate::objectives::Objective;
 use crate::task::TaskData;
 use rand::prelude::*;
@@ -23,7 +23,7 @@ pub fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
 pub fn run_row_epoch(
     objective: &dyn Objective,
     data: &TaskData,
-    model: &dyn ModelAccess,
+    model: &AtomicModel,
     step: f64,
     order: &[usize],
 ) {
@@ -36,7 +36,7 @@ pub fn run_row_epoch(
 pub fn run_col_epoch(
     objective: &dyn Objective,
     data: &TaskData,
-    model: &dyn ModelAccess,
+    model: &AtomicModel,
     step: f64,
     order: &[usize],
 ) {

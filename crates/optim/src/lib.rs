@@ -7,8 +7,8 @@
 //! (`f_row`, SGD-style) and a column-to-row (`f_col`/`f_ctr`, SCD-style)
 //! update, together with:
 //!
-//! * [`ModelAccess`] / [`AtomicModel`] — the mutable model abstraction.  The
-//!   atomic implementation is the Hogwild! memory model: individual
+//! * [`AtomicModel`] — the mutable model, one concrete type for every
+//!   replication strategy.  It is the Hogwild! memory model: individual
 //!   components are updated atomically (cacheline atomicity) but the vector
 //!   as a whole is not locked, so concurrent workers may interleave and
 //!   overwrite freely — exactly the incoherent execution of Section 2.1.
@@ -29,7 +29,7 @@ pub mod task;
 
 pub use convergence::{epochs_to_reach, ConvergenceTrace, LossPoint};
 pub use epoch::{run_col_epoch, run_row_epoch, shuffled_indices};
-pub use model::{average_models, AtomicModel, ModelAccess};
+pub use model::{average_models, average_models_into, AtomicModel};
 pub use objectives::{
     GraphLp, GraphQp, LeastSquares, Logistic, Objective, SvmHinge, UpdateDensity,
 };

@@ -1,4 +1,4 @@
-//! The mutable model abstraction and its lock-free implementation.
+//! The lock-free model vector every replica is stored in.
 //!
 //! Section 2.1 of the paper distinguishes coherent execution (the model is
 //! read and written inside a critical section) from the Hogwild! memory
@@ -10,38 +10,23 @@
 //! workers may interleave and overwrite each other's updates — that is the
 //! point; Niu et al. prove SGD still converges under this model.
 //!
-//! One implementation serves every replication strategy: a PerCore replica
+//! One concrete type serves every replication strategy: a PerCore replica
 //! is an `AtomicModel` touched by one worker, a PerNode replica is shared by
 //! the workers of one node, and the PerMachine (Hogwild!) replica is shared
-//! by every worker in the machine.
+//! by every worker in the machine.  The update functions take `&AtomicModel`
+//! directly — there is no trait in between — so `read`/`add`/`write` inline
+//! into the per-nonzero loops of `row_step`/`col_step`.  A second, plain
+//! `&mut [f64]` representation for private replicas was measured and buys
+//! nothing: relaxed atomic loads and stores of a `u64` compile to the same
+//! plain `mov`s (EXPERIMENTS.md, "Where the epoch's wall-clock goes").
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Read/update access to a (possibly shared) model replica.
-///
-/// `add` takes `&self`: implementations use interior mutability so that many
-/// workers can update the same replica without locking.
-pub trait ModelAccess: Sync + Send {
-    /// Model dimension `d`.
-    fn dim(&self) -> usize;
-
-    /// Read component `j`.
-    fn read(&self, j: usize) -> f64;
-
-    /// Atomically add `delta` to component `j`.
-    fn add(&self, j: usize, delta: f64);
-
-    /// Overwrite component `j`.
-    fn write(&self, j: usize, value: f64);
-
-    /// Copy the current model into a plain vector (not atomic as a whole —
-    /// concurrent writers may be mid-update, which is fine for averaging).
-    fn snapshot(&self) -> Vec<f64> {
-        (0..self.dim()).map(|j| self.read(j)).collect()
-    }
-}
-
 /// A lock-free model vector in the Hogwild! memory model.
+///
+/// Every accessor takes `&self`: the cells are interior-mutable so that many
+/// workers can update the same replica without locking.
 #[derive(Debug)]
 pub struct AtomicModel {
     cells: Vec<AtomicU64>,
@@ -60,6 +45,47 @@ impl AtomicModel {
         AtomicModel {
             cells: values.iter().map(|v| AtomicU64::new(v.to_bits())).collect(),
         }
+    }
+
+    /// Model dimension `d`.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Read component `j`.
+    #[inline]
+    pub fn read(&self, j: usize) -> f64 {
+        f64::from_bits(self.cells[j].load(Ordering::Relaxed))
+    }
+
+    /// Add `delta` to component `j`.
+    #[inline]
+    pub fn add(&self, j: usize, delta: f64) {
+        // A read-modify-write without compare-and-swap: under Hogwild!
+        // semantics lost updates are acceptable, and the paper's PerMachine
+        // strategy explicitly allows "different writers to overwrite each
+        // other".  fetch_update would serialize writers and change the
+        // memory behaviour being modelled, so we deliberately use a plain
+        // load + store of the component.
+        let cell = &self.cells[j];
+        let current = f64::from_bits(cell.load(Ordering::Relaxed));
+        cell.store((current + delta).to_bits(), Ordering::Relaxed);
+    }
+
+    /// Overwrite component `j`.
+    #[inline]
+    pub fn write(&self, j: usize, value: f64) {
+        self.cells[j].store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Copy the current model into a plain vector (not atomic as a whole —
+    /// concurrent writers may be mid-update, which is fine for averaging).
+    pub fn snapshot(&self) -> Vec<f64> {
+        self.cells
+            .iter()
+            .map(|cell| f64::from_bits(cell.load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Overwrite the whole model from a vector.
@@ -81,54 +107,37 @@ impl AtomicModel {
     }
 }
 
-impl ModelAccess for AtomicModel {
-    fn dim(&self) -> usize {
-        self.cells.len()
-    }
-
-    #[inline]
-    fn read(&self, j: usize) -> f64 {
-        f64::from_bits(self.cells[j].load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    fn add(&self, j: usize, delta: f64) {
-        // A read-modify-write without compare-and-swap: under Hogwild!
-        // semantics lost updates are acceptable, and the paper's PerMachine
-        // strategy explicitly allows "different writers to overwrite each
-        // other".  fetch_update would serialize writers and change the
-        // memory behaviour being modelled, so we deliberately use a plain
-        // load + store of the component.
-        let current = f64::from_bits(self.cells[j].load(Ordering::Relaxed));
-        self.cells[j].store((current + delta).to_bits(), Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn write(&self, j: usize, value: f64) {
-        self.cells[j].store(value.to_bits(), Ordering::Relaxed);
-    }
-}
-
 /// Average a set of model replicas into a single vector.
 ///
 /// This is the model-synchronization primitive of Section 3.3: "one thread
 /// periodically reads models on all other cores, averages their results, and
 /// updates each replica".
 pub fn average_models(replicas: &[&AtomicModel]) -> Vec<f64> {
+    let mut sum = Vec::new();
+    average_models_into(replicas, &mut sum);
+    sum
+}
+
+/// [`average_models`] into a caller-owned buffer, so an actor that averages
+/// many times per epoch allocates once.  `sum` is overwritten (and resized
+/// to the model dimension); the arithmetic — replicas summed in slice order
+/// from zero, then scaled — is that of [`average_models`] bit for bit.
+pub fn average_models_into<M: Borrow<AtomicModel>>(replicas: &[M], sum: &mut Vec<f64>) {
     assert!(!replicas.is_empty(), "cannot average zero replicas");
-    let dim = replicas[0].dim();
-    let mut sum = vec![0.0; dim];
+    let dim = replicas[0].borrow().dim();
+    sum.clear();
+    sum.resize(dim, 0.0);
     for replica in replicas {
+        let replica = replica.borrow();
         assert_eq!(replica.dim(), dim, "replica dimension mismatch");
-        for (j, s) in sum.iter_mut().enumerate() {
-            *s += replica.read(j);
+        for (s, cell) in sum.iter_mut().zip(&replica.cells) {
+            *s += f64::from_bits(cell.load(Ordering::Relaxed));
         }
     }
     let scale = 1.0 / replicas.len() as f64;
     for s in sum.iter_mut() {
         *s *= scale;
     }
-    sum
 }
 
 #[cfg(test)]
@@ -171,6 +180,21 @@ mod tests {
         let b = AtomicModel::from_vec(&[3.0, 5.0]);
         assert_eq!(average_models(&[&a, &b]), vec![2.0, 4.0]);
         assert_eq!(average_models(&[&a]), vec![1.0, 3.0]);
+    }
+
+    #[test]
+    fn averaging_into_reuses_and_overwrites_the_buffer() {
+        let a = Arc::new(AtomicModel::from_vec(&[1.0, 3.0]));
+        let b = Arc::new(AtomicModel::from_vec(&[3.0, 5.0]));
+        // A stale, wrongly sized buffer is overwritten, not accumulated into.
+        let mut sum = vec![9.0; 5];
+        average_models_into(&[Arc::clone(&a), Arc::clone(&b)], &mut sum);
+        assert_eq!(sum, vec![2.0, 4.0]);
+        let buffer = sum.as_ptr();
+        a.write(0, 5.0);
+        average_models_into(&[a, b], &mut sum);
+        assert_eq!(sum, vec![4.0, 4.0]);
+        assert_eq!(sum.as_ptr(), buffer, "same allocation on the second round");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! for this model (Figure 14).
 
 use super::{Objective, UpdateDensity};
-use crate::model::ModelAccess;
+use crate::model::AtomicModel;
 use crate::task::TaskData;
 
 /// Penalty formulation of the vertex-cover LP relaxation.
@@ -66,7 +66,7 @@ impl Objective for GraphLp {
         (cost + self.penalty * violation) / n
     }
 
-    fn row_step(&self, data: &TaskData, i: usize, model: &dyn ModelAccess, step: f64) {
+    fn row_step(&self, data: &TaskData, i: usize, model: &AtomicModel, step: f64) {
         // Sub-gradient of the per-edge penalty plus this edge's share of the
         // vertex-cost term (c_j / deg_j so that one epoch applies the full
         // cost gradient).
@@ -84,7 +84,7 @@ impl Objective for GraphLp {
         }
     }
 
-    fn col_step(&self, data: &TaskData, j: usize, model: &dyn ModelAccess, step: f64) {
+    fn col_step(&self, data: &TaskData, j: usize, model: &AtomicModel, step: f64) {
         // Column-to-row access: read the incident edges (rows of S(j)) and
         // their other endpoints, then update only x_j.
         let col = data.col(j);

@@ -13,7 +13,7 @@
 //! per-edge SGD — the behaviour behind Figure 12's LP/QP panels.
 
 use super::{Objective, UpdateDensity};
-use crate::model::ModelAccess;
+use crate::model::AtomicModel;
 use crate::task::TaskData;
 
 /// Graph-Laplacian QP with per-vertex anchors.
@@ -64,7 +64,7 @@ impl Objective for GraphQp {
         (0.5 * smoothness + 0.5 * self.anchor * anchor_term) / n
     }
 
-    fn row_step(&self, data: &TaskData, i: usize, model: &dyn ModelAccess, step: f64) {
+    fn row_step(&self, data: &TaskData, i: usize, model: &AtomicModel, step: f64) {
         let endpoints: Vec<usize> = data.row(i).iter().map(|(j, _)| j).collect();
         if endpoints.len() != 2 {
             return;
@@ -86,7 +86,7 @@ impl Objective for GraphQp {
         );
     }
 
-    fn col_step(&self, data: &TaskData, j: usize, model: &dyn ModelAccess, step: f64) {
+    fn col_step(&self, data: &TaskData, j: usize, model: &AtomicModel, step: f64) {
         // Exact coordinate minimization (damped by `step`, exact at step=1).
         let col = data.col(j);
         let degree = col.nnz() as f64;

@@ -1,7 +1,7 @@
 //! Least-squares regression (squared loss with L2 regularization).
 
 use super::{row_margin, row_margin_slice, Objective, UpdateDensity};
-use crate::model::ModelAccess;
+use crate::model::AtomicModel;
 use crate::task::TaskData;
 
 /// `F(x) = (1/2N) Σᵢ (aᵢ·x - yᵢ)² + (reg/2)‖x‖²`.
@@ -40,7 +40,7 @@ impl Objective for LeastSquares {
         loss / (2.0 * n) + reg_term
     }
 
-    fn row_step(&self, data: &TaskData, i: usize, model: &dyn ModelAccess, step: f64) {
+    fn row_step(&self, data: &TaskData, i: usize, model: &AtomicModel, step: f64) {
         let residual = row_margin(data, i, model) - data.labels[i];
         for (j, v) in data.row(i).iter() {
             let w = model.read(j);
@@ -48,7 +48,7 @@ impl Objective for LeastSquares {
         }
     }
 
-    fn col_step(&self, data: &TaskData, j: usize, model: &dyn ModelAccess, step: f64) {
+    fn col_step(&self, data: &TaskData, j: usize, model: &AtomicModel, step: f64) {
         // Column-to-row coordinate step with a per-coordinate Lipschitz
         // normalization (Σᵢ a_ij²), which is the standard SCD step for
         // quadratic losses and gives near-exact coordinate minimization when

@@ -1,7 +1,7 @@
 //! Logistic regression (log loss with L2 regularization).
 
 use super::{row_margin, row_margin_slice, Objective, UpdateDensity};
-use crate::model::ModelAccess;
+use crate::model::AtomicModel;
 use crate::task::TaskData;
 
 /// `F(x) = (1/N) Σᵢ log(1 + exp(-yᵢ·(aᵢ·x))) + (reg/2)‖x‖²`.
@@ -61,7 +61,7 @@ impl Objective for Logistic {
         loss / n + reg_term
     }
 
-    fn row_step(&self, data: &TaskData, i: usize, model: &dyn ModelAccess, step: f64) {
+    fn row_step(&self, data: &TaskData, i: usize, model: &AtomicModel, step: f64) {
         let y = data.labels[i];
         let margin = y * row_margin(data, i, model);
         // dL/d(margin) = -sigmoid(-margin); gradient wrt x_j is -y·a_ij·σ(-m).
@@ -72,7 +72,7 @@ impl Objective for Logistic {
         }
     }
 
-    fn col_step(&self, data: &TaskData, j: usize, model: &dyn ModelAccess, step: f64) {
+    fn col_step(&self, data: &TaskData, j: usize, model: &AtomicModel, step: f64) {
         let col = data.col(j);
         if col.nnz() == 0 {
             return;

@@ -3,8 +3,10 @@
 //! Each model implements [`Objective`], which packages the paper's *model
 //! specification*: a row-wise update `f_row` (used by SGD-style execution)
 //! and a column-to-row update `f_col`/`f_ctr` (used by SCD-style execution),
-//! both mutating a model replica through [`ModelAccess`], plus the full loss
-//! used to measure distance to the optimum.
+//! both mutating a model replica — a concrete [`AtomicModel`], whatever the
+//! replication strategy, so the per-nonzero `read`/`add` inline into the
+//! update loops — plus the full loss used to measure distance to the
+//! optimum.
 //!
 //! | Model | Objective | Row update | Column update |
 //! |-------|-----------|------------|----------------|
@@ -26,7 +28,7 @@ pub use least_squares::LeastSquares;
 pub use logistic::Logistic;
 pub use svm::SvmHinge;
 
-use crate::model::ModelAccess;
+use crate::model::AtomicModel;
 use crate::task::TaskData;
 use dw_matrix::{dot_sparse_dense, SparseVector};
 
@@ -55,14 +57,14 @@ pub trait Objective: Send + Sync {
     fn full_loss(&self, data: &TaskData, model: &[f64]) -> f64;
 
     /// `f_row`: process example `i`, updating the model in place.
-    fn row_step(&self, data: &TaskData, i: usize, model: &dyn ModelAccess, step: f64);
+    fn row_step(&self, data: &TaskData, i: usize, model: &AtomicModel, step: f64);
 
     /// `f_col` / `f_ctr`: process coordinate `j`, updating `model[j]` only.
     ///
     /// Implementations read the rows in `S(j)` (column-to-row access) and
     /// write a single coordinate, matching the access-pattern contract of
     /// Section 3.1.
-    fn col_step(&self, data: &TaskData, j: usize, model: &dyn ModelAccess, step: f64);
+    fn col_step(&self, data: &TaskData, j: usize, model: &AtomicModel, step: f64);
 
     /// Density of the row-wise update (drives the Figure 6 write cost).
     fn row_update_density(&self) -> UpdateDensity {
@@ -113,9 +115,11 @@ pub trait Objective: Send + Sync {
     }
 }
 
-/// Compute the prediction margin `a_i · x` of one CSR row against a model
-/// snapshot exposed through [`ModelAccess`].
-pub(crate) fn row_margin(data: &TaskData, i: usize, model: &dyn ModelAccess) -> f64 {
+/// Compute the prediction margin `a_i · x` of one CSR row against a live
+/// model replica: one accumulator, strictly in index order (the association
+/// every interleaved trace hash pins).
+#[inline]
+pub(crate) fn row_margin(data: &TaskData, i: usize, model: &AtomicModel) -> f64 {
     let mut margin = 0.0;
     for (j, v) in data.row(i).iter() {
         margin += v * model.read(j);

@@ -1,7 +1,7 @@
 //! Support vector machine (hinge loss with L2 regularization).
 
 use super::{row_margin, row_margin_slice, Objective, UpdateDensity};
-use crate::model::ModelAccess;
+use crate::model::AtomicModel;
 use crate::task::TaskData;
 
 /// `F(x) = (1/N) Σᵢ max(0, 1 - yᵢ·(aᵢ·x)) + (reg/2)‖x‖²`.
@@ -40,7 +40,7 @@ impl Objective for SvmHinge {
         hinge / n + reg_term
     }
 
-    fn row_step(&self, data: &TaskData, i: usize, model: &dyn ModelAccess, step: f64) {
+    fn row_step(&self, data: &TaskData, i: usize, model: &AtomicModel, step: f64) {
         let y = data.labels[i];
         let margin = y * row_margin(data, i, model);
         let row = data.row(i);
@@ -60,7 +60,7 @@ impl Objective for SvmHinge {
         }
     }
 
-    fn col_step(&self, data: &TaskData, j: usize, model: &dyn ModelAccess, step: f64) {
+    fn col_step(&self, data: &TaskData, j: usize, model: &AtomicModel, step: f64) {
         // Column-to-row access: read every example in S(j), accumulate the
         // coordinate sub-gradient, and write only x_j.
         let col = data.col(j);

@@ -6,7 +6,7 @@
 //! with a decaying step size and taking the lowest loss observed.
 
 use crate::epoch::{run_col_epoch, run_row_epoch, shuffled_indices};
-use crate::model::{AtomicModel, ModelAccess};
+use crate::model::AtomicModel;
 use crate::objectives::Objective;
 use crate::task::TaskData;
 

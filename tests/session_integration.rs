@@ -233,7 +233,7 @@ fn columnar_shard_indirection_never_moves_a_bit() {
     use dimmwitted::plan::build_epoch_assignment;
     use dimmwitted::{EpochContext, Executor};
     use dw_numa::PlacementPolicy;
-    use dw_optim::{AtomicModel, ModelAccess};
+    use dw_optim::AtomicModel;
 
     let m = machine();
     let config = RunConfig::quick(1).with_seed(77);
