@@ -1,4 +1,4 @@
-//! Benchmark harness for the DimmWitted reproduction.
+//! Figure and table regeneration for the DimmWitted reproduction.
 //!
 //! Every table and figure of the paper's evaluation (Section 4, Section 5,
 //! and Appendices C–D) has a regenerating function in [`figures`] and a
@@ -7,11 +7,12 @@
 //! integration tests can assert on the numbers and the binaries can print
 //! the same rows the paper reports.
 //!
-//! The harness measures *statistical efficiency* (epochs to a loss target)
+//! The figures measure *statistical efficiency* (epochs to a loss target)
 //! by actually running the first-order methods, and *hardware efficiency*
 //! (time per epoch, PMU-style counters) through the NUMA cost model of
-//! `dw-numa` — see `DESIGN.md` for why that substitution preserves the
-//! paper's phenomena on a single-core host.
+//! `dw-numa`, so they reproduce the paper's multi-socket phenomena on any
+//! host, whatever its core and node count.  Host wall-clock is measured by
+//! the stand-alone harness in `benchmark/`.
 
 pub mod figures;
 pub mod table;

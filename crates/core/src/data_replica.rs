@@ -170,7 +170,7 @@ impl DataReplicaSet {
 
     /// [`DataReplicaSet::build`] with the physical page binder switched
     /// explicitly.  `bind: false` skips the `mbind(2)` pass entirely (the
-    /// bench's control arm); `bind: true` binds each shard's page-aligned
+    /// control arm of a bind-on/off comparison); `bind: true` binds each shard's page-aligned
     /// extents to its placed node when a real multi-node binder is available,
     /// and records a no-op otherwise.  Either way the shards, owners and
     /// placement are identical — binding moves pages, never data.

@@ -26,7 +26,7 @@
 //! compaction → snapshot → [`EpochStream::adopt_data`]), reviews each
 //! epoch event, and records every plan switch — fully deterministic given
 //! the schedule, which is what lets integration tests pin the switch and
-//! `bench_streaming` compare replan-on against replan-off traces.
+//! compare replan-on against replan-off traces.
 //!
 //! [`MatrixStats`]: dw_matrix::MatrixStats
 //! [`LiveSource`]: dw_matrix::LiveSource

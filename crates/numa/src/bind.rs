@@ -29,7 +29,8 @@
 //!
 //! Binding never changes *what* executes — only where the bytes live — so
 //! convergence traces must stay bit-identical with binding on or off.  The
-//! `bench_numa` harness asserts exactly that.
+//! root package's `memory_binding_never_moves_a_trace` test asserts exactly
+//! that.
 
 use crate::topology::MachineTopology;
 use std::path::{Path, PathBuf};

@@ -81,6 +81,23 @@ impl ConvergenceTrace {
             .find(|p| p.loss <= threshold)
             .map(|p| p.seconds)
     }
+
+    /// FNV-1a fingerprint of the loss curve: the little-endian bytes of the
+    /// initial loss's bits, then of each epoch's loss bits, in order.  Times
+    /// are not hashed, so two runs with bit-identical losses share a
+    /// fingerprint whatever their clocks said.  `benchmark/`'s `trace_hash`
+    /// hashes the per-epoch losses only (no initial loss), so its values
+    /// differ from these.
+    pub fn fnv(&self) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        std::iter::once(self.initial_loss)
+            .chain(self.points.iter().map(|p| p.loss))
+            .flat_map(|loss| loss.to_bits().to_le_bytes())
+            .fold(OFFSET, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(PRIME)
+            })
+    }
 }
 
 /// The loss threshold meaning "within `tolerance` of the optimal loss".
@@ -148,6 +165,25 @@ mod tests {
         let mut t = ConvergenceTrace::new(1.0);
         t.record(0.0, 1.0);
         assert_eq!(t.epochs_to_tolerance(0.0, 0.01), Some(1));
+    }
+
+    /// FNV-1a over the little-endian bits of 10, 5, 2, 1.1, 1.01, 1.001,
+    /// computed outside this crate.
+    const FNV_OF_TRACE: u64 = 0x9e13_f34d_030d_f902;
+
+    #[test]
+    fn fnv_pins_every_loss_bit_and_ignores_times() {
+        let t = trace();
+        assert_eq!(t.fnv(), FNV_OF_TRACE);
+        let mut flipped = t.clone();
+        flipped.points[2].loss = f64::from_bits(flipped.points[2].loss.to_bits() ^ 1);
+        assert_ne!(flipped.fnv(), FNV_OF_TRACE);
+        let mut initial = t.clone();
+        initial.initial_loss = f64::from_bits(initial.initial_loss.to_bits() ^ 1);
+        assert_ne!(initial.fnv(), FNV_OF_TRACE);
+        let mut retimed = t;
+        retimed.points[0].seconds = 99.0;
+        assert_eq!(retimed.fnv(), FNV_OF_TRACE);
     }
 
     #[test]

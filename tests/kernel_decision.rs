@@ -10,7 +10,6 @@ use dimmwitted::{
 use dw_data::{Dataset, PaperDataset};
 use dw_matrix::{IndexEncoding, KernelVariant};
 use dw_numa::MachineTopology;
-use dw_optim::ConvergenceTrace;
 
 fn machine() -> MachineTopology {
     MachineTopology::local2()
@@ -41,23 +40,6 @@ fn run(plan: ExecutionPlan) -> RunReport {
         .run()
 }
 
-/// FNV-1a over the initial loss and per-epoch loss bits (the same
-/// trace-parity fingerprint the benches pin).
-fn trace_hash(trace: &ConvergenceTrace) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(trace.initial_loss.to_bits());
-    for point in &trace.points {
-        eat(point.loss.to_bits());
-    }
-    hash
-}
-
 #[test]
 fn default_plan_carries_the_reference_kernel() {
     let plan = base_plan();
@@ -76,7 +58,7 @@ fn encoding_never_perturbs_a_reference_trace() {
         variant: KernelVariant::Reference,
         encoding: IndexEncoding::DeltaU16,
     }));
-    assert_eq!(trace_hash(&raw.trace), trace_hash(&encoded.trace));
+    assert_eq!(raw.trace.fnv(), encoded.trace.fnv());
 }
 
 #[test]
@@ -90,8 +72,8 @@ fn wide_plan_is_deterministic_and_converges_with_reference() {
     let a = run(wide_plan());
     let b = run(wide_plan());
     assert_eq!(
-        trace_hash(&a.trace),
-        trace_hash(&b.trace),
+        a.trace.fnv(),
+        b.trace.fnv(),
         "same wide plan must reproduce the same trace"
     );
     let reference = run(base_plan());
@@ -148,6 +130,15 @@ fn optimizer_records_a_kernel_decision() {
     let plan = optimizer.choose_plan(&svm_task());
     assert_eq!(plan.kernel.encoding, IndexEncoding::DeltaU16);
     assert_eq!(plan.kernel.variant, KernelVariant::Reference);
+    // The chosen encoding pays on this very matrix: at most 3 bytes per
+    // stored index against raw u32's 4.
+    let dataset = Dataset::generate(PaperDataset::Reuters, 42);
+    let csr = dataset.matrix.csr();
+    let bytes_per_nnz = csr.encoded_indices().size_bytes() as f64 / csr.nnz() as f64;
+    assert!(
+        bytes_per_nnz <= 3.0,
+        "delta16 spends {bytes_per_nnz:.2} B/nnz on Reuters"
+    );
 
     // The dense datasets keep raw u32 indexing: their layout decision is
     // the dense row store, which feeds no sparse index stream at all.

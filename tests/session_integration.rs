@@ -614,34 +614,39 @@ fn threaded_auto_steal_latency_feedback_stays_within_the_derived_cap() {
 #[test]
 fn memory_binding_never_moves_a_trace() {
     // Physical page binding relocates pages, never data: a session built
-    // with the bind pass on and one with it off (the bench's control arm)
-    // must produce bit-identical traces and models.  On single-node or
+    // with the bind pass on and one with it off (the control arm) must
+    // produce bit-identical traces and models, under either scheduler and
+    // however many groups the shards are bound to.  On single-node or
     // feature-off hosts the binder is inert either way, which makes this
-    // exact check meaningful everywhere — the multi-node win is measured
-    // (not asserted) by bench_numa.
-    let m = machine();
+    // exact check meaningful everywhere; whether binding wins wall-clock on
+    // a multi-node host is a measurement, not a test.
     let task = svm_task();
-    let plan = ExecutionPlan::new(
-        &m,
-        AccessMethod::RowWise,
-        ModelReplication::PerNode,
-        DataReplication::Sharding,
-    )
-    .with_workers(4);
-    let run = |bind: bool| {
-        DimmWitted::on(m.clone())
-            .task(task.clone())
-            .plan(plan.clone())
-            .epochs(3)
-            .seed(7)
-            .bind_memory(bind)
-            .build()
-            .run()
-    };
-    let bound = run(true);
-    let unbound = run(false);
-    assert_eq!(bound.trace, unbound.trace);
-    assert_eq!(bound.final_model, unbound.final_model);
+    for m in [MachineTopology::local2(), MachineTopology::local4()] {
+        for scheduler in [ItemScheduler::RoundRobin, ItemScheduler::default()] {
+            let plan = ExecutionPlan::new(
+                &m,
+                AccessMethod::RowWise,
+                ModelReplication::PerNode,
+                DataReplication::Sharding,
+            )
+            .with_workers(4)
+            .with_scheduler(scheduler);
+            let run = |bind: bool| {
+                DimmWitted::on(m.clone())
+                    .task(task.clone())
+                    .plan(plan.clone())
+                    .epochs(3)
+                    .seed(7)
+                    .bind_memory(bind)
+                    .build()
+                    .run()
+            };
+            let bound = run(true);
+            let unbound = run(false);
+            assert_eq!(bound.trace, unbound.trace, "{}/{scheduler:?}", m.name);
+            assert_eq!(bound.final_model, unbound.final_model);
+        }
+    }
 }
 
 #[test]

@@ -16,30 +16,13 @@ use dimmwitted::{
 };
 use dw_data::{Dataset, PaperDataset};
 use dw_numa::MachineTopology;
-use dw_optim::ConvergenceTrace;
-
-/// FNV-1a over the initial loss and per-epoch loss bits (the fingerprint
-/// the benches and `benchmark/` pin as `trace_hash`).
-fn trace_hash(trace: &ConvergenceTrace) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(trace.initial_loss.to_bits());
-    for point in &trace.points {
-        eat(point.loss.to_bits());
-    }
-    hash
-}
 
 const ACCESS: [AccessMethod; 2] = [AccessMethod::RowWise, AccessMethod::ColumnToRow];
 const DATA: [DataReplication; 2] = [DataReplication::Sharding, DataReplication::FullReplication];
 
-/// `GOLDEN[model][access][data replication]`, in the order of
-/// `ModelKind::all()`, [`ACCESS`] and [`DATA`].
+/// `GOLDEN[model][access][data replication]` — `ConvergenceTrace::fnv` of
+/// each trace — in the order of `ModelKind::all()`, [`ACCESS`] and
+/// [`DATA`].
 const GOLDEN: [[[u64; 2]; 2]; 5] = [
     // svm
     [
@@ -95,7 +78,7 @@ fn interleaved_traces_match_the_pinned_hashes() {
                     .build()
                     .run();
                 assert_eq!(report.trace.points.len(), 3, "{kind}/{access}/{data}");
-                measured[m][a][d] = trace_hash(&report.trace);
+                measured[m][a][d] = report.trace.fnv();
             }
         }
     }
